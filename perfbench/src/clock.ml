@@ -1,0 +1,8 @@
+(* The benchmark's one clock: the monotonic nanosecond counter. *)
+
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+let time f =
+  let t0 = now () in
+  let r = f () in
+  (r, now () -. t0)
