@@ -37,7 +37,6 @@ type t = {
       (* txn -> installs of its current attempt, newest first *)
   writer_of_wts : (int, int) Hashtbl.t;
   tail : Buffer.t; (* bytes past the last consumed line *)
-  mutable initial_rev : (string * int) list;
   mutable ingested : int;
   mutable records : int;
   mutable commits : int;
@@ -58,7 +57,6 @@ let create ~policy ?(obs = Sink.noop) () =
     pending = Hashtbl.create 16;
     writer_of_wts = Hashtbl.create 16;
     tail = Buffer.create 256;
-    initial_rev = [];
     ingested = 0;
     records = 0;
     commits = 0;
@@ -104,11 +102,11 @@ let apply t (r : Wal.record) =
   t.records <- t.records + 1;
   match r with
   | State { entity; value } ->
+      (* before any commit the store holds initial versions only, so
+         rebinding one in place builds what [Store.create] of every
+         State so far would *)
       if t.ts > 0 || t.commits > 0 then t.degraded <- true
-      else begin
-        t.initial_rev <- (entity, value) :: t.initial_rev;
-        t.store <- Store.create ~initial:(List.rev t.initial_rev)
-      end
+      else Store.set_initial t.store entity value
   | Begin { txn; _ } | Abort { txn; _ } -> Hashtbl.replace t.pending txn []
   | Op _ | Checkpoint _ -> ()
   | Install { txn; entity; value; wts } ->
@@ -129,17 +127,15 @@ let apply t (r : Wal.record) =
         ~attrs:(fun () ->
           [ ("txn", J.Int txn); ("snapshot_ts", J.Int t.ts) ])
 
-let line t line ~terminated =
+let line t line =
   if String.trim line <> "" then
     match Wal.decode line with
     | Some (_lsn, r) -> apply t r
     | None ->
-        if terminated then begin
-          t.skipped <- t.skipped + 1;
-          (* a lost record mid-stream can hide a Commit: incremental
-             redo is no longer sound, cascades may be pending *)
-          t.degraded <- true
-        end
+        t.skipped <- t.skipped + 1;
+        (* a lost record mid-stream can hide a Commit: incremental redo
+           is no longer sound, cascades may be pending *)
+        t.degraded <- true
 
 let feed t chunk =
   let before = t.records in
@@ -154,15 +150,15 @@ let feed t chunk =
   while !scanning do
     match String.index_from_opt s !i '\n' with
     | Some j ->
-        line t (String.sub s !i (j - !i)) ~terminated:true;
+        line t (String.sub s !i (j - !i));
         i := j + 1
     | None -> scanning := false
   done;
   if !i < n then begin
     let rest = String.sub s !i (n - !i) in
-    if String.trim rest <> "" && Wal.decode rest <> None then
-      line t rest ~terminated:false
-    else Buffer.add_string t.tail rest
+    match Wal.decode rest with
+    | Some (_lsn, r) -> apply t r
+    | None -> Buffer.add_string t.tail rest
   end;
   if t.degraded && t.records > before then refresh t;
   let applied = t.records - before in

@@ -83,17 +83,23 @@ let version_fn history read_srcs =
       match (src : Wal.src) with
       | Wal.Init -> v := Mvcc_core.Version_fn.(add pos Initial !v)
       | Wal.Self ->
-          let st = hsteps.(pos) in
-          let q = ref (-1) in
-          for k = 0 to pos - 1 do
-            let s2 = hsteps.(k) in
-            if
-              s2.Mvcc_core.Step.txn = st.Mvcc_core.Step.txn
-              && s2.entity = st.entity
-              && Mvcc_core.Step.is_write s2
-            then q := k
-          done;
-          v := Mvcc_core.Version_fn.(add pos (From !q) !v)
+          (* the transaction's last write of the entity before [pos]:
+             walk the entity's bucket back from [pos]'s own rank *)
+          let txn = hsteps.(pos).Mvcc_core.Step.txn in
+          let bucket =
+            Schedule.entity_bucket history (Schedule.entity_at history pos)
+          in
+          let rec back i =
+            if i < 0 then -1
+            else
+              let q = bucket.(i) in
+              let s2 = hsteps.(q) in
+              if s2.Mvcc_core.Step.txn = txn && Mvcc_core.Step.is_write s2
+              then q
+              else back (i - 1)
+          in
+          let q = back (Schedule.entity_rank history pos - 1) in
+          v := Mvcc_core.Version_fn.(add pos (From q) !v)
       | Wal.Txn j -> (
           let st = hsteps.(pos) in
           match

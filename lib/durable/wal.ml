@@ -2,10 +2,13 @@
 
    Framing: a record encodes to a flat Json object whose first field is
    the LSN and whose last field is a CRC-32 over the object as it would
-   be WITHOUT the crc field. Json.obj and Json.parse_obj are exact
-   inverses on this fragment, so the decoder can re-encode the parsed
-   prefix fields and recompute the checksum byte-for-byte — no second
-   framing layer needed, and the log stays plain JSONL. *)
+   be WITHOUT the crc field — the stored bytes before [,"crc":], closed
+   by '}'. The readers check that CRC over the bytes as stored, then
+   read the fields in the writer's fixed order in one positional pass,
+   accepting only the writer's own rendering (canonical ints, the
+   writer's escapes, no whitespace): a line decodes exactly when
+   [encode] reproduces it byte for byte. There is no second framing
+   layer, no re-encoding, and the log stays plain JSONL. *)
 
 module Json = Mvcc_obs.Json
 module Sink = Mvcc_obs.Sink
@@ -31,19 +34,11 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
-  let t = Lazy.force crc_table in
-  let c = ref 0xffffffff in
-  String.iter
-    (fun ch -> c := t.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xffffffff
-
-(* Slicing-by-8: eight chained tables let the hot writer path checksum
-   eight bytes per iteration with independent lookups instead of one
+(* Slicing-by-8: eight chained tables let the checksum take eight bytes
+   per iteration with independent lookups instead of one
    serially-dependent lookup per byte. [crc_tables.(0)] is the classic
-   table above; agreement with {!crc32} is pinned by the codec
-   roundtrip and writer-bytes properties in test_durable. *)
+   table above. The writer, both readers and {!crc32} share this one
+   loop; the standard check value is pinned in test_durable. *)
 let crc_tables =
   lazy
     (let t0 = Lazy.force crc_table in
@@ -87,6 +82,10 @@ let crc32_bytes s ~len =
   done;
   !c
 
+let crc32 s =
+  crc32_bytes (Bytes.unsafe_of_string s) ~len:(String.length s)
+  lxor 0xffffffff
+
 let fields = function
   | State { entity; value } ->
       [ ("rec", Json.Str "state"); ("entity", Json.Str entity);
@@ -119,80 +118,273 @@ let frame fs =
     (String.sub body 0 (String.length body - 1))
     (crc32 body)
 
-let unframe line =
-  match Json.parse_obj line with
-  | None -> None
-  | Some parsed -> (
-      match List.rev parsed with
-      | ("crc", Json.Int crc) :: body_rev ->
-          let body_fields = List.rev body_rev in
-          if crc32 (Json.obj body_fields) = crc then Some body_fields
-          else None
-      | _ -> None)
-
 let encode ~lsn r = frame (("lsn", Json.Int lsn) :: fields r)
 
-let of_fields fields =
-  let int k =
-    match List.assoc_opt k fields with Some (Json.Int i) -> Some i | _ -> None
-  in
-  let str k =
-    match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None
-  in
-  let bool k =
-    match List.assoc_opt k fields with
-    | Some (Json.Bool b) -> Some b
-    | _ -> None
-  in
-  let ( let* ) = Option.bind in
-  let* rec_ = str "rec" in
-  match rec_ with
-  | "state" ->
-      let* entity = str "entity" in
-      let* value = int "value" in
-      Some (State { entity; value })
-  | "begin" ->
-      let* txn = int "txn" in
-      let* ts = int "ts" in
-      Some (Begin { txn; ts })
-  | "op" ->
-      let* txn = int "txn" in
-      let* entity = str "entity" in
-      let* write = bool "write" in
-      let src =
-        match List.assoc_opt "src" fields with
-        | Some (Json.Str "init") -> Some Init
-        | Some (Json.Str "self") -> Some Self
-        | Some (Json.Int w) -> Some (Txn w)
-        | _ -> None
-      in
-      if write && src <> None then None
-      else if (not write) && src = None then None
-      else Some (Op { txn; entity; write; src })
-  | "install" ->
-      let* txn = int "txn" in
-      let* entity = str "entity" in
-      let* value = int "value" in
-      let* wts = int "wts" in
-      Some (Install { txn; entity; value; wts })
-  | "commit" ->
-      let* txn = int "txn" in
-      Some (Commit { txn })
-  | "abort" ->
-      let* txn = int "txn" in
-      let* reason = str "reason" in
-      Some (Abort { txn; reason })
-  | "checkpoint" ->
-      let* snapshot = str "snapshot" in
-      let* commits = int "commits" in
-      Some (Checkpoint { snapshot; commits })
-  | _ -> None
+(* -- Reading: one positional pass over the stored bytes -- *)
 
+exception Malformed
+
+(* The CRC a framed line carries: {!crc32} of its first [len] bytes
+   closed by '}' — what [emit_line] and [frame] checksum. *)
+let framed_crc line ~len =
+  let c = crc32_bytes (Bytes.unsafe_of_string line) ~len in
+  let t = Lazy.force crc_table in
+  Array.unsafe_get t ((c lxor Char.code '}') land 0xff)
+  lxor (c lsr 8) lxor 0xffffffff
+
+let is_digit ch = ch >= '0' && ch <= '9'
+
+(* Whether [lit] occurs in [line] at offset [p]. *)
+let lit_at line p lit =
+  let l = String.length lit in
+  p >= 0
+  && p + l <= String.length line
+  && begin
+       let i = ref 0 in
+       while
+         !i < l && String.unsafe_get line (p + !i) = String.unsafe_get lit !i
+       do
+         incr i
+       done;
+       !i = l
+     end
+
+(* The offset of the trailing [,"crc":N}], where [N] is a canonical
+   non-negative int equal to {!framed_crc} of the bytes before it; -1
+   if there is no such tail or the CRC does not match. *)
+let crc_field line =
+  let n = String.length line in
+  let key = ",\"crc\":" in
+  let d = ref (n - 2) in
+  while !d >= 0 && is_digit (String.unsafe_get line !d) do
+    decr d
+  done;
+  let first = !d + 1 and digits = n - 2 - !d in
+  let k = first - String.length key in
+  if
+    n < 2
+    || line.[n - 1] <> '}'
+    || digits < 1
+    || digits > 10 (* a CRC-32 has at most 10 decimal digits *)
+    || (digits > 1 && line.[first] = '0')
+    || k < 1
+    || not (lit_at line k key)
+  then -1
+  else
+    let v = ref 0 in
+    for i = first to n - 2 do
+      v := (10 * !v) + Char.code line.[i] - 48
+    done;
+    if framed_crc line ~len:k = !v then k else -1
+
+(* Cursor primitives: each reads at [!pos] and advances past what it
+   read, raising [Malformed] on anything the writer would not emit. *)
+
+let has_lit line pos lit =
+  lit_at line !pos lit
+  && begin
+       pos := !pos + String.length lit;
+       true
+     end
+
+let lit line pos l = if not (has_lit line pos l) then raise Malformed
+
+let peek line pos =
+  if !pos >= String.length line then raise Malformed
+  else String.unsafe_get line !pos
+
+(* [string_of_int]'s image only: no '+', no leading zero, no "-0", no
+   overflow. *)
+let get_int line pos =
+  let n = String.length line in
+  let neg = peek line pos = '-' in
+  if neg then incr pos;
+  let start = !pos in
+  let acc = ref 0 in
+  while !pos < n && is_digit (String.unsafe_get line !pos) do
+    let d = Char.code (String.unsafe_get line !pos) - 48 in
+    if neg then begin
+      (* [(min_int + d) / 10] rounds toward zero: the ceiling *)
+      if !acc < (min_int + d) / 10 then raise Malformed;
+      acc := (10 * !acc) - d
+    end
+    else begin
+      if !acc > (max_int - d) / 10 then raise Malformed;
+      acc := (10 * !acc) + d
+    end;
+    incr pos
+  done;
+  let len = !pos - start in
+  if len = 0 || (line.[start] = '0' && (neg || len > 1)) then
+    raise Malformed;
+  !acc
+
+let hex_digit = function
+  | '0' .. '9' as ch -> Char.code ch - 48
+  | 'a' .. 'f' as ch -> Char.code ch - 87
+  | _ -> raise Malformed
+
+(* A quoted string as [put_str] renders it: raw bytes except ['"'],
+   ['\\'] and control characters, which carry exactly the writer's
+   escapes. The common unescaped case is one [String.sub]. *)
+let get_str line pos =
+  lit line pos "\"";
+  let n = String.length line in
+  let start = !pos in
+  let plain ch = ch <> '"' && ch <> '\\' && ch >= ' ' in
+  while !pos < n && plain (String.unsafe_get line !pos) do
+    incr pos
+  done;
+  if peek line pos = '"' then begin
+    incr pos;
+    String.sub line start (!pos - 1 - start)
+  end
+  else begin
+    let b = Buffer.create (2 * (!pos - start)) in
+    Buffer.add_substring b line start (!pos - start);
+    let rec go () =
+      let ch = peek line pos in
+      incr pos;
+      if ch = '"' then Buffer.contents b
+      else if ch = '\\' then begin
+        let e = peek line pos in
+        incr pos;
+        (match e with
+        | '"' | '\\' -> Buffer.add_char b e
+        | 'n' -> Buffer.add_char b '\n'
+        | 'r' -> Buffer.add_char b '\r'
+        | 't' -> Buffer.add_char b '\t'
+        | 'u' ->
+            lit line pos "00";
+            let hi = hex_digit (peek line pos) in
+            incr pos;
+            let lo = hex_digit (peek line pos) in
+            incr pos;
+            let code = (16 * hi) + lo in
+            (* only the control characters without a short escape *)
+            if code >= 0x20 || code = 0x0a || code = 0x0d || code = 0x09
+            then raise Malformed;
+            Buffer.add_char b (Char.chr code)
+        | _ -> raise Malformed);
+        go ()
+      end
+      else if ch < ' ' then raise Malformed
+      else begin
+        Buffer.add_char b ch;
+        go ()
+      end
+    in
+    go ()
+  end
+
+let get_value line pos =
+  match peek line pos with
+  | '"' -> Json.Str (get_str line pos)
+  | 't' ->
+      lit line pos "true";
+      Json.Bool true
+  | 'f' ->
+      lit line pos "false";
+      Json.Bool false
+  | _ -> Json.Int (get_int line pos)
+
+let unframe line =
+  let k = crc_field line in
+  if k < 0 then None
+  else
+    try
+      let pos = ref 0 in
+      lit line pos "{";
+      let rec go acc =
+        let key = get_str line pos in
+        lit line pos ":";
+        let acc = (key, get_value line pos) :: acc in
+        if !pos = k then List.rev acc
+        else begin
+          lit line pos ",";
+          go acc
+        end
+      in
+      Some (go [])
+    with Malformed -> None
+
+(* The fields in [emit_line]'s order, keys fused with the literals
+   around them exactly as it writes them. *)
 let decode line =
-  match unframe line with
-  | Some (("lsn", Json.Int lsn) :: rest) ->
-      Option.map (fun r -> (lsn, r)) (of_fields rest)
-  | _ -> None
+  let k = crc_field line in
+  if k < 0 then None
+  else
+    try
+      let pos = ref 0 in
+      let lit = lit line pos and int () = get_int line pos in
+      let str () = get_str line pos in
+      lit "{\"lsn\":";
+      let lsn = int () in
+      lit ",\"rec\":\"";
+      let r =
+        match peek line pos with
+        | 's' ->
+            lit "state\",\"entity\":";
+            let entity = str () in
+            lit ",\"value\":";
+            State { entity; value = int () }
+        | 'b' ->
+            lit "begin\",\"txn\":";
+            let txn = int () in
+            lit ",\"ts\":";
+            Begin { txn; ts = int () }
+        | 'o' ->
+            lit "op\",\"txn\":";
+            let txn = int () in
+            lit ",\"entity\":";
+            let entity = str () in
+            let write =
+              if has_lit line pos ",\"write\":true" then true
+              else begin
+                lit ",\"write\":false";
+                false
+              end
+            in
+            let src =
+              if !pos = k then None
+              else begin
+                lit ",\"src\":";
+                if has_lit line pos "\"init\"" then Some Init
+                else if has_lit line pos "\"self\"" then Some Self
+                else Some (Txn (int ()))
+              end
+            in
+            (* a read carries its source, a write never does *)
+            if write = (src <> None) then raise Malformed;
+            Op { txn; entity; write; src }
+        | 'i' ->
+            lit "install\",\"txn\":";
+            let txn = int () in
+            lit ",\"entity\":";
+            let entity = str () in
+            lit ",\"value\":";
+            let value = int () in
+            lit ",\"wts\":";
+            Install { txn; entity; value; wts = int () }
+        | 'a' ->
+            lit "abort\",\"txn\":";
+            let txn = int () in
+            lit ",\"reason\":";
+            Abort { txn; reason = str () }
+        | 'c' ->
+            if has_lit line pos "commit\",\"txn\":" then
+              Commit { txn = int () }
+            else begin
+              lit "checkpoint\",\"snapshot\":";
+              let snapshot = str () in
+              lit ",\"commits\":";
+              Checkpoint { snapshot; commits = int () }
+            end
+        | _ -> raise Malformed
+      in
+      if !pos <> k then raise Malformed;
+      Some (lsn, r)
+    with Malformed -> None
 
 (* Fast framing: each append renders the record's line into a reusable
    per-writer scratch with unsafe byte stores, checksums the body in one

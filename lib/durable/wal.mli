@@ -6,9 +6,10 @@
     version installs (logical redo records), commits, aborts, and
     checkpoints naming a snapshot. Records are flat
     {!Mvcc_obs.Json} objects, one per line, ending in a ["crc"] field
-    computed over the record's own encoding; a record survives ingestion
-    only if it parses {e and} its CRC matches, so a flipped byte or a
-    torn write is detected, never silently replayed.
+    computed over the record's own encoding. The readers check that CRC
+    over the line's bytes as stored and accept only the writer's own
+    rendering of a record, so a flipped byte, a torn write or a
+    hand-edited line is detected, never silently replayed.
 
     Unlike an ARIES log there are no undo records and no CLRs: the
     engine buffers writes until commit (no-steal), so the store never
@@ -32,7 +33,8 @@ type record =
           before this record (a file path, or a harness-internal key) *)
 
 val crc32 : string -> int
-(** CRC-32 (IEEE, reflected) of a string, as a non-negative int. *)
+(** CRC-32 (IEEE, reflected) of a string, as a non-negative int
+    (slicing-by-8; the same loop the writer and the readers run). *)
 
 val frame : (string * Mvcc_obs.Json.value) list -> string
 (** A field list as one CRC-suffixed JSON line (no newline): the fields
@@ -40,16 +42,26 @@ val frame : (string * Mvcc_obs.Json.value) list -> string
     without it. The framing {!Snapshot} shares with the log itself. *)
 
 val unframe : string -> (string * Mvcc_obs.Json.value) list option
-(** Inverse of {!frame}: parse, verify the CRC, return the fields
-    without it. [None] on malformed input or a CRC mismatch. *)
+(** Inverse of {!frame} on [Int], [Str] and [Bool] fields: check the
+    trailing CRC over the stored bytes before it, then read the fields
+    in one pass, returning them without the CRC. Accepts a line exactly
+    when {!frame} of the result reproduces it byte for byte; [None] on
+    a CRC mismatch or any other spelling (whitespace, non-canonical
+    ints or escapes). *)
 
 val encode : lsn:int -> record -> string
 (** One log line (without the newline): the record's fields prefixed
     with the LSN and suffixed with the CRC of everything before it. *)
 
 val decode : string -> (int * record) option
-(** Inverse of {!encode}. [None] if the line does not parse, is not a
-    known record shape, or fails its CRC. *)
+(** Inverse of {!encode}, in one positional pass over the line as
+    stored: find the trailing [,"crc":N}], compare [N] with the CRC-32
+    of the bytes before it closed by ['}'], then read the fields in the
+    writer's fixed order. Accepts a line exactly when [encode ~lsn r]
+    reproduces it byte for byte; [None] on a CRC mismatch, an unknown
+    record shape, or any other spelling of a record — a line hand-edited
+    with extra whitespace is rejected even when its CRC still matches
+    the canonical rendering. *)
 
 (** {1 Appending}
 

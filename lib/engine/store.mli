@@ -37,6 +37,12 @@ val create_sharded : shards:int -> initial:(string * int) list -> t
 (** {!create} with the chains partitioned into [shards] buckets — what
     the engine builds when [cores > 1]. *)
 
+val set_initial : t -> string -> int -> unit
+(** [set_initial t e v] rebinds [e]'s initial version (wts 0) to [v],
+    creating [e] if it is new; its later versions are kept. {!create}
+    is [set_initial] applied in list order, so a repeated entity keeps
+    its last value and its first-touch id. *)
+
 val intern : t -> string -> int
 (** The entity's dense interned id (assigned on first touch, in
     first-touch order). *)

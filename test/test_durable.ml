@@ -70,6 +70,365 @@ let prop_codec_rejects_tamper =
         (Char.chr (Char.code (Bytes.get tampered pos) lxor 1));
       Wal.decode (Bytes.to_string tampered) = None)
 
+(* The generic decoder the log readers used before the positional one,
+   kept as an oracle: parse the line as any flat JSON object, re-encode
+   the fields before the crc and checksum that byte by byte, then look
+   the record's fields up by key. It accepts more than the writer emits
+   (whitespace, reordered or extra keys, other escapes); on writer
+   output the two decoders must agree, and the positional decoder must
+   never accept a line this one rejects. *)
+module Oracle = struct
+  module Json = Mvcc_obs.Json
+
+  let crc_table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+
+  let crc32 s =
+    let c = ref 0xffffffff in
+    String.iter
+      (fun ch ->
+        c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+      s;
+    !c lxor 0xffffffff
+
+  let unframe line =
+    match Json.parse_obj line with
+    | None -> None
+    | Some parsed -> (
+        match List.rev parsed with
+        | ("crc", Json.Int crc) :: body_rev ->
+            let body_fields = List.rev body_rev in
+            if crc32 (Json.obj body_fields) = crc then Some body_fields
+            else None
+        | _ -> None)
+
+  let of_fields fields =
+    let int k =
+      match List.assoc_opt k fields with
+      | Some (Json.Int i) -> Some i
+      | _ -> None
+    in
+    let str k =
+      match List.assoc_opt k fields with
+      | Some (Json.Str s) -> Some s
+      | _ -> None
+    in
+    let bool k =
+      match List.assoc_opt k fields with
+      | Some (Json.Bool b) -> Some b
+      | _ -> None
+    in
+    let ( let* ) = Option.bind in
+    let* rec_ = str "rec" in
+    match rec_ with
+    | "state" ->
+        let* entity = str "entity" in
+        let* value = int "value" in
+        Some (Wal.State { entity; value })
+    | "begin" ->
+        let* txn = int "txn" in
+        let* ts = int "ts" in
+        Some (Wal.Begin { txn; ts })
+    | "op" ->
+        let* txn = int "txn" in
+        let* entity = str "entity" in
+        let* write = bool "write" in
+        let src =
+          match List.assoc_opt "src" fields with
+          | Some (Json.Str "init") -> Some Wal.Init
+          | Some (Json.Str "self") -> Some Wal.Self
+          | Some (Json.Int w) -> Some (Wal.Txn w)
+          | _ -> None
+        in
+        if write && src <> None then None
+        else if (not write) && src = None then None
+        else Some (Wal.Op { txn; entity; write; src })
+    | "install" ->
+        let* txn = int "txn" in
+        let* entity = str "entity" in
+        let* value = int "value" in
+        let* wts = int "wts" in
+        Some (Wal.Install { txn; entity; value; wts })
+    | "commit" ->
+        let* txn = int "txn" in
+        Some (Wal.Commit { txn })
+    | "abort" ->
+        let* txn = int "txn" in
+        let* reason = str "reason" in
+        Some (Wal.Abort { txn; reason })
+    | "checkpoint" ->
+        let* snapshot = str "snapshot" in
+        let* commits = int "commits" in
+        Some (Wal.Checkpoint { snapshot; commits })
+    | _ -> None
+
+  let decode line =
+    match unframe line with
+    | Some (("lsn", Json.Int lsn) :: rest) ->
+        Option.map (fun r -> (lsn, r)) (of_fields rest)
+    | _ -> None
+end
+
+let test_crc32_check_value () =
+  check_int "CRC-32 check value" 0xcbf43926 (Wal.crc32 "123456789");
+  check_int "empty string" 0 (Wal.crc32 "");
+  let rng = Random.State.make [| 0xc7c |] in
+  for len = 0 to 64 do
+    let s = String.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+    check_int
+      (Printf.sprintf "slicing-by-8 = byte-wise at length %d" len)
+      (Oracle.crc32 s) (Wal.crc32 s)
+  done
+
+(* Wider records than [gen_record]: extreme and negative ints, and
+   strings over every byte, so every escape the writer emits shows up. *)
+let gen_wide_record =
+  QCheck2.Gen.(
+    let num =
+      oneof
+        [ int_range (-1000) 1000; oneofl [ 0; max_int; min_int; -1 ]; int ]
+    in
+    let name =
+      oneof
+        [
+          string_size ~gen:char (int_range 0 12);
+          string_size
+            ~gen:
+              (oneofl
+                 [ 'a'; '"'; '\\'; '\n'; '\x01'; '\x1b'; '\x7f'; '\xe9' ])
+            (int_range 0 6);
+        ]
+    in
+    let src =
+      oneof [ oneofl [ Wal.Init; Wal.Self ]; map (fun w -> Wal.Txn w) num ]
+    in
+    oneof
+      [
+        (let* entity = name and* value = num in
+         return (Wal.State { entity; value }));
+        (let* txn = num and* ts = num in
+         return (Wal.Begin { txn; ts }));
+        (let* txn = num and* entity = name and* write = bool and* s = src in
+         let src = if write then None else Some s in
+         return (Wal.Op { txn; entity; write; src }));
+        (let* txn = num and* entity = name and* value = num and* wts = num in
+         return (Wal.Install { txn; entity; value; wts }));
+        map (fun txn -> Wal.Commit { txn }) num;
+        (let* txn = num and* reason = name in
+         return (Wal.Abort { txn; reason }));
+        (let* snapshot = name and* commits = num in
+         return (Wal.Checkpoint { snapshot; commits }));
+      ])
+
+(* Bytes a hand edit or a damaged medium plausibly puts into a line:
+   whitespace, number syntax, escapes, structure. *)
+let gen_edit_byte =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [ ' '; '\t'; '0'; '1'; '2'; '9'; 'a'; 'A'; '-'; '+'; '.'; 'e';
+            '\\'; '"'; 'u'; '/'; ','; ':'; '{'; '}'; 'n'; 't' ];
+        char;
+      ])
+
+(* [line] damaged by one edit; with [refit], the damage is confined to
+   the body and the crc is recomputed over the damaged bytes as stored,
+   so only the decoder's canonical reading can reject it. *)
+let gen_damaged line =
+  QCheck2.Gen.(
+    let* refit = bool and* kind = int_range 0 3 and* b = gen_edit_byte in
+    let crc_at =
+      let rec find i =
+        if String.sub line i 7 = ",\"crc\":" then i else find (i - 1)
+      in
+      find (String.length line - 8)
+    in
+    let target = if refit then String.sub line 0 crc_at else line in
+    let n = String.length target in
+    let* i = int_range 0 (max 0 (n - 1)) in
+    let edited =
+      match kind with
+      | 0 when n > 0 ->
+          String.mapi (fun j c -> if j = i then b else c) target
+      | 1 ->
+          String.sub target 0 i ^ String.make 1 b
+          ^ String.sub target i (n - i)
+      | 2 when n > 0 ->
+          String.sub target 0 i ^ String.sub target (i + 1) (n - i - 1)
+      | _ -> String.sub target 0 i
+    in
+    return
+      (if refit then
+         Printf.sprintf "%s,\"crc\":%d}" edited (Oracle.crc32 (edited ^ "}"))
+       else edited))
+
+let gen_line_and_damage =
+  QCheck2.Gen.(
+    let* lsn = oneof [ int_range 0 10_000; int ] and* r = gen_wide_record in
+    let line = Wal.encode ~lsn r in
+    let* damaged = gen_damaged line in
+    return (lsn, r, line, damaged))
+
+let print_damage (lsn, _, line, damaged) =
+  Printf.sprintf "lsn %d\nline    %S\ndamaged %S" lsn line damaged
+
+let prop_decode_is_encode_image =
+  QCheck2.Test.make
+    ~name:"wal decode accepts exactly the image of encode" ~count:3000
+    ~print:print_damage gen_line_and_damage
+    (fun (lsn, r, line, damaged) ->
+      Wal.decode line = Some (lsn, r)
+      &&
+      match Wal.decode damaged with
+      | None -> true
+      | Some (lsn', r') -> Wal.encode ~lsn:lsn' r' = damaged)
+
+let prop_decode_agrees_with_oracle =
+  QCheck2.Test.make
+    ~name:"wal decode agrees with the generic oracle, never accepts more"
+    ~count:3000 ~print:print_damage gen_line_and_damage
+    (fun (lsn, r, line, damaged) ->
+      Oracle.decode line = Some (lsn, r)
+      &&
+      match Wal.decode damaged with
+      | None -> true
+      | Some d -> Oracle.decode damaged = Some d)
+
+(* Snapshot lines go through [unframe]: the same canonical reading
+   over any flat field list the snapshot writer can frame. *)
+let prop_unframe_agrees_with_oracle =
+  QCheck2.Test.make
+    ~name:"wal unframe accepts exactly frame's image, never more than oracle"
+    ~count:2000
+    QCheck2.Gen.(
+      let key =
+        string_size
+          ~gen:(oneofl [ 'k'; 'e'; '"'; '\\'; '\n' ])
+          (int_range 1 4)
+      in
+      let value =
+        oneof
+          [
+            map
+              (fun i -> Mvcc_obs.Json.Int i)
+              (oneof [ int_range (-99) 99; int ]);
+            map
+              (fun s -> Mvcc_obs.Json.Str s)
+              (string_size ~gen:char (int_range 0 6));
+            map (fun b -> Mvcc_obs.Json.Bool b) bool;
+          ]
+      in
+      let* fields = list_size (int_range 1 4) (pair key value) in
+      let line = Wal.frame fields in
+      let* damaged = gen_damaged line in
+      return (fields, line, damaged))
+    (fun (fields, line, damaged) ->
+      Wal.unframe line = Some fields
+      && Oracle.unframe line = Some fields
+      &&
+      match Wal.unframe damaged with
+      | None -> true
+      | Some fs ->
+          Wal.frame fs = damaged && Oracle.unframe damaged = Some fs)
+
+(* Real logs, every policy: the two decoders read every line alike. *)
+let test_decode_agrees_on_engine_logs () =
+  List.iter
+    (fun policy ->
+      let w = Wal.writer () in
+      let hook = Hook.create w in
+      let cfg = { Crash.default with policy; seed = 3 } in
+      let initial =
+        List.init cfg.Crash.entities (fun i -> (Printf.sprintf "e%d" i, 100))
+      in
+      ignore
+        (E.run ~policy ~initial ~programs:(Crash.workload cfg)
+           ~wal:(Hook.listener hook) ?snapshot_every:cfg.Crash.snapshot_every
+           ~seed:cfg.Crash.seed ());
+      let lines =
+        String.split_on_char '\n' (Wal.contents w)
+        |> List.filter (fun l -> l <> "")
+      in
+      check_int
+        (Printf.sprintf "every line decodes under %s" (E.policy_name policy))
+        (List.length lines)
+        (List.length (List.filter_map Wal.decode lines));
+      List.iter
+        (fun l ->
+          check "oracle agrees on writer output" true
+            (Oracle.decode l = Wal.decode l))
+        lines)
+    all_policies
+
+(* Spellings of writer records a generic JSON reader would accept,
+   each resealed with the crc of its own bytes: only the writer's
+   rendering decodes. *)
+let test_noncanonical_spellings_rejected () =
+  let seal body =
+    Printf.sprintf "%s,\"crc\":%d}" body (Wal.crc32 (body ^ "}"))
+  in
+  let canonical =
+    "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7"
+  in
+  check "the canonical body decodes" true
+    (Wal.decode (seal canonical)
+    = Some (3, Wal.State { entity = "a\x1b"; value = 7 }));
+  List.iter
+    (fun body ->
+      check
+        (Printf.sprintf "rejected: %s" body)
+        true
+        (Wal.decode (seal body) = None))
+    [
+      "{\"lsn\":3, \"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7";
+      "{ \"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7 ";
+      "{\"lsn\":03,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7";
+      "{\"lsn\":+3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":-0";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7.0";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7e0";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001B\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u0041\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u000a\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\/\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\t\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"value\":7,\"entity\":\"a\\u001b\"";
+      "{\"rec\":\"state\",\"lsn\":3,\"entity\":\"a\\u001b\",\"value\":7";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":7,\"x\":1";
+      "{\"lsn\":3,\"rec\":\"state\",\"entity\":\"a\\u001b\",\"value\":99999999999999999999";
+      "{\"lsn\":3,\"rec\":\"op\",\"txn\":1,\"entity\":\"a\",\"write\":true,\"src\":\"init\"";
+      "{\"lsn\":3,\"rec\":\"op\",\"txn\":1,\"entity\":\"a\",\"write\":false";
+    ];
+  check "a crc with a leading zero is rejected" true
+    (Wal.decode
+       (Printf.sprintf "%s,\"crc\":0%d}" canonical
+          (Wal.crc32 (canonical ^ "}")))
+    = None)
+
+let test_noncanonical_valid_crc_is_skip () =
+  let line = Wal.encode ~lsn:0 (Wal.Commit { txn = 4 }) in
+  (* a hand edit adding whitespace: the crc of the canonical rendering
+     still matches once the oracle re-encodes, but not the stored bytes *)
+  let edited =
+    let i = String.index line ',' + 1 in
+    String.sub line 0 i ^ " " ^ String.sub line i (String.length line - i)
+  in
+  check "oracle reads the edit" true
+    (Oracle.decode edited = Some (0, Wal.Commit { txn = 4 }));
+  check "the positional decoder does not" true (Wal.decode edited = None);
+  let { Wal.records; stats } =
+    Wal.read_string (String.concat "\n" [ line; edited; line ] ^ "\n")
+  in
+  check_int "two records" 2 (List.length records);
+  check_int "the edit is a skip" 1 stats.Mvcc_obs.Jsonl.skipped
+
 let test_wal_writer () =
   let w = Wal.writer () in
   check_int "lsn starts at 0" 0 (Wal.next_lsn w);
@@ -281,6 +640,25 @@ let test_snapshot_roundtrip () =
   let enc = Snapshot.encode snap in
   let torn = String.sub enc 0 (String.length enc - 10) in
   check "torn snapshot rejected" true (Snapshot.decode torn = None)
+
+(* Any one flipped bit, anywhere — a version line, the header, a
+   newline — rejects the whole snapshot. *)
+let test_snapshot_tamper_rejected () =
+  let store = Mvcc_engine.Store.create ~initial:[ ("a", 1); ("b\"q", -2) ] in
+  Mvcc_engine.Store.install store "a" ~value:10 ~wts:3;
+  let enc = Snapshot.encode (Snapshot.capture ~lsn:9 ~commits:1 store) in
+  String.iteri
+    (fun i ch ->
+      let tampered =
+        String.mapi
+          (fun j c -> if j = i then Char.chr (Char.code ch lxor 1) else c)
+          enc
+      in
+      check
+        (Printf.sprintf "flipped byte %d rejected" i)
+        true
+        (Snapshot.decode tampered = None))
+    enc
 
 (* -- logging never changes a decision -- *)
 
@@ -620,12 +998,206 @@ let test_follower_lagging_reads_all_policies () =
       check "certified at the tip" true ok2)
     all_policies
 
+(* -- Recovered version functions -- *)
+
+(* The pre-bucket [Self] lookup: scan every earlier position for the
+   transaction's last write of the entity. *)
+let version_fn_by_scan history read_srcs =
+  let hsteps = Mvcc_core.Schedule.steps history in
+  List.fold_left
+    (fun v (pos, src) ->
+      let st = hsteps.(pos) in
+      match (src : Wal.src) with
+      | Wal.Init -> Mvcc_core.Version_fn.add pos Initial v
+      | Wal.Self ->
+          let q = ref (-1) in
+          for k = 0 to pos - 1 do
+            let s2 = hsteps.(k) in
+            if
+              s2.Mvcc_core.Step.txn = st.Mvcc_core.Step.txn
+              && s2.entity = st.entity
+              && Mvcc_core.Step.is_write s2
+            then q := k
+          done;
+          Mvcc_core.Version_fn.add pos (From !q) v
+      | Wal.Txn j -> (
+          match
+            Mvcc_core.Read_from.last_write_of history ~txn:j
+              ~entity:st.Mvcc_core.Step.entity
+          with
+          | Some q -> Mvcc_core.Version_fn.add pos (From q) v
+          | None -> v))
+    Mvcc_core.Version_fn.empty read_srcs
+
+let prop_version_fn_matches_scan =
+  QCheck2.Test.make
+    ~name:"recovered version function = the earlier-position scan"
+    ~count:500
+    QCheck2.Gen.(
+      let* n_txns = int_range 1 4 in
+      let step =
+        let* txn = int_range 0 (n_txns - 1)
+        and* entity = oneofl [ "a"; "b"; "c" ]
+        and* write = bool in
+        return
+          (if write then Mvcc_core.Step.write txn entity
+           else Mvcc_core.Step.read txn entity)
+      in
+      let* steps = list_size (int_range 1 30) step in
+      let* srcs =
+        flatten_l
+          (List.map
+             (fun _ ->
+               oneof
+                 [
+                   return Wal.Init;
+                   return Wal.Self;
+                   map (fun j -> Wal.Txn j) (int_range 0 (n_txns - 1));
+                 ])
+             steps)
+      in
+      return (n_txns, steps, srcs))
+    (fun (n_txns, steps, srcs) ->
+      let h = Mvcc_core.Schedule.of_steps ~n_txns steps in
+      let read_srcs =
+        List.concat
+          (List.mapi
+             (fun pos ((st : Mvcc_core.Step.t), src) ->
+               if Mvcc_core.Step.is_write st then [] else [ (pos, src) ])
+             (List.combine steps srcs))
+      in
+      Mvcc_core.Version_fn.to_list (Recovery.version_fn h read_srcs)
+      = Mvcc_core.Version_fn.to_list (version_fn_by_scan h read_srcs))
+
+(* -- Follower bootstrap -- *)
+
+let log_of records =
+  String.concat ""
+    (List.mapi (fun lsn r -> Wal.encode ~lsn r ^ "\n") records)
+
+(* The follower's store, live view and stats after [chunks], against
+   one-shot recovery of the same bytes. *)
+let follower_matches_recovery ~policy chunks =
+  let f = Follower.create ~policy () in
+  List.iter (fun c -> ignore (Follower.feed f c)) chunks;
+  let one =
+    Recovery.recover ~policy (Wal.read_string (String.concat "" chunks))
+  in
+  let live = Follower.state f in
+  ( f,
+    Recovery.dump_string (Follower.store f)
+    = Recovery.dump_string one.Recovery.store
+    && Recovery.dump_string live.Recovery.store
+       = Recovery.dump_string one.store
+    && live.state = one.state
+    && live.stats = one.stats )
+
+let per_record log =
+  String.split_on_char '\n' log
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l -> l ^ "\n")
+
+let test_follower_duplicate_state_last_wins () =
+  let log =
+    log_of
+      [
+        Wal.State { entity = "x"; value = 1 };
+        Wal.State { entity = "y"; value = 2 };
+        Wal.State { entity = "x"; value = 3 };
+        Wal.Begin { txn = 0; ts = 1 };
+        Wal.Op { txn = 0; entity = "x"; write = false; src = Some Wal.Init };
+        Wal.Op { txn = 0; entity = "y"; write = true; src = None };
+        Wal.Install { txn = 0; entity = "y"; value = 7; wts = 1 };
+        Wal.Commit { txn = 0 };
+      ]
+  in
+  List.iter
+    (fun (how, chunks) ->
+      let f, same = follower_matches_recovery ~policy:E.Mvto chunks in
+      check (how ^ ": follower = one-shot recovery") true same;
+      check (how ^ ": the last State wins") true
+        (Follower.read_view f = [ ("x", 3); ("y", 7) ]);
+      check (how ^ ": x keeps one initial version") true
+        (Recovery.dump_string (Follower.store f) = "x: 0=3\ny: 0=2 1=7"))
+    [ ("one chunk", [ log ]); ("per record", per_record log) ]
+
+(* Initial state after a commit cannot be applied incrementally: the
+   follower degrades to assembling its store the one-shot way. *)
+let test_follower_state_after_commit_degrades () =
+  let log =
+    log_of
+      [
+        Wal.State { entity = "x"; value = 1 };
+        Wal.Begin { txn = 0; ts = 1 };
+        Wal.Op { txn = 0; entity = "x"; write = true; src = None };
+        Wal.Install { txn = 0; entity = "x"; value = 5; wts = 1 };
+        Wal.Commit { txn = 0 };
+        Wal.State { entity = "z"; value = 9 };
+        Wal.State { entity = "x"; value = 4 };
+      ]
+  in
+  List.iter
+    (fun (how, chunks) ->
+      let f, same = follower_matches_recovery ~policy:E.Si chunks in
+      check (how ^ ": follower = one-shot recovery") true same;
+      check (how ^ ": late State lands under the commit") true
+        (Recovery.dump_string (Follower.store f) = "x: 0=4 1=5\nz: 0=9");
+      let _, _, ok = Follower.certify f in
+      check (how ^ ": still certified") true ok)
+    [ ("one chunk", [ log ]); ("per record", per_record log) ]
+
+(* A wide bootstrap — 4,096 State records, some repeated — followed by
+   commits, fed in random chunks, is one-shot recovery exactly. *)
+let test_follower_wide_bootstrap () =
+  let n = 4096 in
+  let states =
+    List.init n (fun i ->
+        Wal.State { entity = Printf.sprintf "k%d" i; value = i })
+    @ List.init 64 (fun i ->
+          Wal.State { entity = Printf.sprintf "k%d" (i * 61); value = -i })
+  in
+  let txns =
+    List.concat
+      (List.init 100 (fun t ->
+           let e = Printf.sprintf "k%d" (t * 37 mod n) in
+           [
+             Wal.Begin { txn = t; ts = t + 1 };
+             Wal.Op
+               { txn = t; entity = e; write = false; src = Some Wal.Init };
+             Wal.Op { txn = t; entity = e; write = true; src = None };
+             Wal.Install { txn = t; entity = e; value = t; wts = t + 1 };
+             Wal.Commit { txn = t };
+           ]))
+  in
+  let log = log_of (states @ txns) in
+  let rng = Random.State.make [| 4096 |] in
+  let rec chunks pos =
+    if pos >= String.length log then []
+    else
+      let len =
+        min (String.length log - pos) (1 + Random.State.int rng 5000)
+      in
+      String.sub log pos len :: chunks (pos + len)
+  in
+  let f, same = follower_matches_recovery ~policy:E.Mvto (chunks 0) in
+  check "wide bootstrap: follower = one-shot recovery" true same;
+  check_int "every entity present" n (List.length (Follower.read_view f));
+  check_int "every commit applied" 100 (Follower.commits_applied f);
+  check "repeated State: last wins" true (Follower.read f "k61" = Some (-1))
+
 let () =
   Alcotest.run "durable"
     [
       ( "wal",
         [
           Alcotest.test_case "writer lsns and roundtrip" `Quick test_wal_writer;
+          Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+          Alcotest.test_case "decoders agree on engine logs" `Quick
+            test_decode_agrees_on_engine_logs;
+          Alcotest.test_case "non-canonical spellings are rejected" `Quick
+            test_noncanonical_spellings_rejected;
+          Alcotest.test_case "non-canonical line with a valid crc is a skip"
+            `Quick test_noncanonical_valid_crc_is_skip;
           Alcotest.test_case "torn tail at every byte offset" `Quick
             test_wal_torn_tail_every_offset;
           Alcotest.test_case "mid-file corruption is a skip" `Quick
@@ -636,8 +1208,12 @@ let () =
             test_close_mid_batch_flushes_once;
         ] );
       ( "snapshot",
-        [ Alcotest.test_case "roundtrip and torn reject" `Quick
-            test_snapshot_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip and torn reject" `Quick
+            test_snapshot_roundtrip;
+          Alcotest.test_case "any flipped byte rejects" `Quick
+            test_snapshot_tamper_rejected;
+        ] );
       ( "recovery",
         [
           Alcotest.test_case "full log, all policies" `Quick
@@ -660,12 +1236,22 @@ let () =
             test_follower_never_observes_unforced;
           Alcotest.test_case "lagging certified reads, all policies" `Quick
             test_follower_lagging_reads_all_policies;
+          Alcotest.test_case "duplicate State: last wins" `Quick
+            test_follower_duplicate_state_last_wins;
+          Alcotest.test_case "State after a commit degrades" `Quick
+            test_follower_state_after_commit_degrades;
+          Alcotest.test_case "4096-entity bootstrap = recovery" `Quick
+            test_follower_wide_bootstrap;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_codec_roundtrip;
             prop_codec_rejects_tamper;
+            prop_decode_is_encode_image;
+            prop_decode_agrees_with_oracle;
+            prop_unframe_agrees_with_oracle;
+            prop_version_fn_matches_scan;
             prop_writer_bytes_match_reference;
             prop_obs_writer_byte_invariance;
             prop_wal_off_invariance;
